@@ -9,6 +9,7 @@ import (
 	"odin/internal/clock"
 	"odin/internal/core"
 	"odin/internal/dnn"
+	"odin/internal/obs"
 	"odin/internal/policy"
 	"odin/internal/reram"
 	"odin/internal/serve"
@@ -110,22 +111,6 @@ func fleetProbe(sys core.System, m *dnn.Model) (lat, deadline float64, err error
 		return 0, 0, err
 	}
 	return ctrl.RunInference(0).Latency, ctrl.ForcedReprogramAge(), nil
-}
-
-// sojournQuantile returns the exact q-quantile (nearest-rank) of the
-// served requests' sojourn times (queue wait + service latency).
-func sojournQuantile(sojourns []float64, q float64) float64 {
-	if len(sojourns) == 0 {
-		return 0
-	}
-	rank := int(q*float64(len(sojourns))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sojourns) {
-		rank = len(sojourns) - 1
-	}
-	return sojourns[rank]
 }
 
 // Fleet replays one drift-staggered mixed-model trace over a ≥1000-chip
@@ -233,8 +218,8 @@ func Fleet(opts FleetOptions) (*FleetResult, error) {
 			Shed:            res.Shed,
 			ReprogramOnPath: reg.Counter("odinserve_reprogram_on_path_requests_total", "").Value(),
 			Maintenance:     reg.Counter("odinserve_maintenance_reprograms_total", "").Value(),
-			P50:             sojournQuantile(sojourns, 0.50),
-			P99:             sojournQuantile(sojourns, 0.99),
+			P50:             obs.ExactQuantile(sojourns, 0.50),
+			P99:             obs.ExactQuantile(sojourns, 0.99),
 			Checksum:        res.Checksum,
 		}, nil
 	}

@@ -46,9 +46,9 @@ func chromeEvent(r record) string {
 	sb.WriteString(`,"cat":"odin","ph":"X","pid":0,"tid":`)
 	sb.WriteString(strconv.Itoa(r.track))
 	sb.WriteString(`,"ts":`)
-	sb.WriteString(jsonFloat(r.start * 1e6)) // seconds -> microseconds
+	sb.WriteString(JSONFloat(r.start * 1e6)) // seconds -> microseconds
 	sb.WriteString(`,"dur":`)
-	sb.WriteString(jsonFloat((r.end - r.start) * 1e6))
+	sb.WriteString(JSONFloat((r.end - r.start) * 1e6))
 	sb.WriteString(`,"args":{"span":`)
 	sb.WriteString(strconv.FormatUint(r.id, 10))
 	sb.WriteString(`,"parent":`)
@@ -118,9 +118,9 @@ func (t *Tracer) FlameSummary() []FlameRow {
 		row := byName[name]
 		ds := durs[name]
 		sort.Float64s(ds)
-		row.P50 = exactQuantile(ds, 0.50)
-		row.P90 = exactQuantile(ds, 0.90)
-		row.P99 = exactQuantile(ds, 0.99)
+		row.P50 = ExactQuantile(ds, 0.50)
+		row.P90 = ExactQuantile(ds, 0.90)
+		row.P99 = ExactQuantile(ds, 0.99)
 		out = append(out, *row)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -137,9 +137,11 @@ func (t *Tracer) FlameSummary() []FlameRow {
 	return out
 }
 
-// exactQuantile returns the q-quantile of an ascending-sorted sample by
-// the nearest-rank method (deterministic, no interpolation).
-func exactQuantile(sorted []float64, q float64) float64 {
+// ExactQuantile returns the q-quantile of an ascending-sorted sample by
+// the nearest-rank method (deterministic, no interpolation); 0 for an
+// empty sample. telemetry.Histogram.Quantile is the bucket-interpolated
+// estimate for streams too long to keep.
+func ExactQuantile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}

@@ -91,7 +91,7 @@ func (a Attr) jsonValue() string {
 	case 'i':
 		return strconv.FormatInt(a.inum, 10)
 	case 'f':
-		return jsonFloat(a.num)
+		return JSONFloat(a.num)
 	case 'b':
 		return strconv.FormatBool(a.truth)
 	}
@@ -215,15 +215,6 @@ func (s *Span) SetTrack(track int) {
 	s.track = track
 }
 
-// Annotate appends attributes to an in-flight span (no-op after End or on
-// a nil span).
-func (s *Span) Annotate(attrs ...Attr) {
-	if s == nil || s.ended {
-		return
-	}
-	s.attrs = append(s.attrs, attrs...)
-}
-
 // End closes the span at the tracer clock's current time and records it.
 // No-op on a nil span; ending twice records once.
 func (s *Span) End() {
@@ -317,9 +308,10 @@ func attrsKey(attrs []Attr) string {
 	return sb.String()
 }
 
-// jsonFloat renders a float as a JSON literal (shortest round-trippable
-// decimal; JSON has no Inf/NaN, so those render as quoted strings).
-func jsonFloat(v float64) string {
+// JSONFloat renders a float as a JSON literal (shortest round-trippable
+// decimal; JSON has no Inf/NaN, so those render as quoted strings). The
+// trace export and the pulse event log share it.
+func JSONFloat(v float64) string {
 	s := strconv.FormatFloat(v, 'g', -1, 64)
 	if strings.ContainsAny(s, "IN") { // +Inf, -Inf, NaN
 		return strconv.Quote(s)

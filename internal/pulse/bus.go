@@ -229,11 +229,7 @@ func (b *Bus) WriteLog(w io.Writer) error {
 		return nil
 	}
 	b.mu.Lock()
-	evs := make([]Event, 0, len(b.ring))
-	n := len(b.ring)
-	for i := 0; i < n; i++ {
-		evs = append(evs, b.ring[(b.head+i)%n])
-	}
+	evs := append(append([]Event(nil), b.ring[b.head:]...), b.ring[:b.head]...)
 	b.mu.Unlock()
 
 	keys := make([]string, len(evs))

@@ -1,6 +1,7 @@
 package pulse
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -26,14 +27,7 @@ func DecisionEvent(chip int, model string, r obs.RunAudit) Event {
 		sizes.WriteString(strconv.Itoa(l.Chosen.R))
 		sizes.WriteByte('x')
 		sizes.WriteString(strconv.Itoa(l.Chosen.C))
-		seen := false
-		for _, s := range strats {
-			if s == l.Strategy {
-				seen = true
-				break
-			}
-		}
-		if !seen {
+		if !slices.Contains(strats, l.Strategy) {
 			strats = append(strats, l.Strategy)
 		}
 	}

@@ -16,8 +16,8 @@
 // barrier obs uses for Chrome traces — which makes replay-mode event logs
 // byte-identical at every worker count. Publishers must therefore only put
 // scheduling-independent values on events: fields that are pure functions
-// of virtual time and of the per-chip batch order (see the publishing
-// sites in internal/serve). In particular the decision-cache Cached
+// of virtual time and of the per-chip batch order (see the emit methods
+// in internal/serve/emit.go). In particular the decision-cache Cached
 // attribution is deliberately absent from decision events: cross-chip
 // cache hits depend on worker scheduling, while everything else about a
 // cached decision is byte-identical to the uncached search.
@@ -31,6 +31,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"odin/internal/obs"
 )
 
 // Kind discriminates event types. The numeric order is the canonical
@@ -150,79 +152,71 @@ type Event struct {
 func (e *Event) AppendJSON(buf []byte) []byte {
 	buf = append(buf, `{"seq":`...)
 	buf = strconv.AppendUint(buf, e.Seq, 10)
-	buf = append(buf, `,"t":`...)
-	buf = appendFloat(buf, e.Time)
-	buf = append(buf, `,"kind":"`...)
-	buf = append(buf, e.Kind.String()...)
-	buf = append(buf, `","chip":`...)
-	buf = strconv.AppendInt(buf, int64(e.Chip), 10)
-	buf = append(buf, `,"model":`...)
-	buf = strconv.AppendQuote(buf, e.Model)
+	buf = appendNum(buf, "t", e.Time)
+	buf = appendStr(buf, "kind", e.Kind.String())
+	buf = appendInt(buf, "chip", e.Chip)
+	buf = appendStr(buf, "model", e.Model)
 	switch e.Kind {
 	case KindLifecycle:
-		buf = append(buf, `,"action":`...)
-		buf = strconv.AppendQuote(buf, e.Action)
-		buf = append(buf, `,"fleet":`...)
-		buf = strconv.AppendInt(buf, int64(e.Fleet), 10)
+		buf = appendStr(buf, "action", e.Action)
+		buf = appendInt(buf, "fleet", e.Fleet)
 	case KindBatch:
-		buf = append(buf, `,"batch":`...)
-		buf = strconv.AppendUint(buf, e.Batch, 10)
-		buf = append(buf, `,"size":`...)
-		buf = strconv.AppendInt(buf, int64(e.Size), 10)
-		buf = append(buf, `,"queue":`...)
-		buf = strconv.AppendInt(buf, int64(e.Queue), 10)
-		buf = append(buf, `,"lat":`...)
-		buf = appendFloat(buf, e.Latency)
-		buf = append(buf, `,"energy":`...)
-		buf = appendFloat(buf, e.Energy)
-		buf = append(buf, `,"age":`...)
-		buf = appendFloat(buf, e.Age)
-		buf = append(buf, `,"deadline":`...)
-		buf = appendFloat(buf, e.Deadline)
-		buf = append(buf, `,"reprogram":`...)
-		buf = strconv.AppendBool(buf, e.Reprogram)
+		buf = strconv.AppendUint(appendKey(buf, "batch"), e.Batch, 10)
+		buf = appendInt(buf, "size", e.Size)
+		buf = appendInt(buf, "queue", e.Queue)
+		buf = appendNum(buf, "lat", e.Latency)
+		buf = appendNum(buf, "energy", e.Energy)
+		buf = appendNum(buf, "age", e.Age)
+		buf = appendNum(buf, "deadline", e.Deadline)
+		buf = strconv.AppendBool(appendKey(buf, "reprogram"), e.Reprogram)
 		if e.Tenant != "" {
-			buf = append(buf, `,"tenants":`...)
-			buf = strconv.AppendQuote(buf, e.Tenant)
+			buf = appendStr(buf, "tenants", e.Tenant)
 		}
 	case KindReprogram:
-		buf = append(buf, `,"pass":`...)
-		buf = strconv.AppendQuote(buf, e.Pass)
-		buf = append(buf, `,"count":`...)
-		buf = strconv.AppendInt(buf, int64(e.Count), 10)
-		buf = append(buf, `,"age":`...)
-		buf = appendFloat(buf, e.Age)
+		buf = appendStr(buf, "pass", e.Pass)
+		buf = appendInt(buf, "count", e.Count)
+		buf = appendNum(buf, "age", e.Age)
 	case KindDecision:
-		buf = append(buf, `,"layers":`...)
-		buf = strconv.AppendInt(buf, int64(e.Layers), 10)
-		buf = append(buf, `,"evals":`...)
-		buf = strconv.AppendInt(buf, int64(e.Evaluations), 10)
-		buf = append(buf, `,"disagree":`...)
-		buf = strconv.AppendInt(buf, int64(e.Disagreements), 10)
-		buf = append(buf, `,"strategy":`...)
-		buf = strconv.AppendQuote(buf, e.Strategy)
-		buf = append(buf, `,"sizes":`...)
-		buf = strconv.AppendQuote(buf, e.Sizes)
-		buf = append(buf, `,"age":`...)
-		buf = appendFloat(buf, e.Age)
-		buf = append(buf, `,"reprogram":`...)
-		buf = strconv.AppendBool(buf, e.Reprogram)
+		buf = appendInt(buf, "layers", e.Layers)
+		buf = appendInt(buf, "evals", e.Evaluations)
+		buf = appendInt(buf, "disagree", e.Disagreements)
+		buf = appendStr(buf, "strategy", e.Strategy)
+		buf = appendStr(buf, "sizes", e.Sizes)
+		buf = appendNum(buf, "age", e.Age)
+		buf = strconv.AppendBool(appendKey(buf, "reprogram"), e.Reprogram)
 	case KindShed:
-		buf = append(buf, `,"request":`...)
+		buf = appendKey(buf, "request")
 		if e.Reason == "reject" {
 			// Rejections happen before the dispatcher assigns an id.
 			buf = append(buf, `null`...)
 		} else {
 			buf = strconv.AppendUint(buf, e.Request, 10)
 		}
-		buf = append(buf, `,"reason":`...)
-		buf = strconv.AppendQuote(buf, e.Reason)
+		buf = appendStr(buf, "reason", e.Reason)
 		if e.Tenant != "" {
-			buf = append(buf, `,"tenant":`...)
-			buf = strconv.AppendQuote(buf, e.Tenant)
+			buf = appendStr(buf, "tenant", e.Tenant)
 		}
 	}
 	return append(buf, '}')
+}
+
+// appendKey appends the `,"key":` prefix of one JSON member.
+func appendKey(buf []byte, key string) []byte {
+	buf = append(buf, ',', '"')
+	buf = append(buf, key...)
+	return append(buf, '"', ':')
+}
+
+func appendInt(buf []byte, key string, v int) []byte {
+	return strconv.AppendInt(appendKey(buf, key), int64(v), 10)
+}
+
+func appendStr(buf []byte, key, v string) []byte {
+	return strconv.AppendQuote(appendKey(buf, key), v)
+}
+
+func appendNum(buf []byte, key string, v float64) []byte {
+	return append(appendKey(buf, key), obs.JSONFloat(v)...)
 }
 
 // AppendSSE appends the event as one Server-Sent Events frame: id from the
@@ -236,15 +230,4 @@ func (e *Event) AppendSSE(buf []byte) []byte {
 	buf = append(buf, "\ndata: "...)
 	buf = e.AppendJSON(buf)
 	return append(buf, "\n\n"...)
-}
-
-// appendFloat renders a float as a JSON value: shortest round-trippable
-// decimal, with non-finite values quoted (JSON has no Inf/NaN literals) —
-// the obs trace-export convention.
-func appendFloat(buf []byte, v float64) []byte {
-	s := strconv.FormatFloat(v, 'g', -1, 64)
-	if strings.ContainsAny(s, "IN") { // +Inf, -Inf, NaN
-		return strconv.AppendQuote(buf, s)
-	}
-	return append(buf, s...)
 }

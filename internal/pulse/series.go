@@ -204,14 +204,9 @@ func (b *Bus) Snapshot() Status {
 		if !math.IsInf(cs.deadline, 1) && cs.deadline > 0 {
 			row.DriftFrac = cs.age / cs.deadline
 		}
-		n := len(cs.closed)
-		if n > 0 {
-			row.Buckets = make([]Bucket, 0, n)
-			for i := 0; i < n; i++ {
-				row.Buckets = append(row.Buckets, cs.closed[(cs.head+i)%n])
-			}
-			last := row.Buckets[n-1]
-			row.Throughput = float64(last.Completed) / cs.interval
+		if n := len(cs.closed); n > 0 {
+			row.Buckets = append(append(make([]Bucket, 0, n), cs.closed[cs.head:]...), cs.closed[:cs.head]...)
+			row.Throughput = float64(row.Buckets[n-1].Completed) / cs.interval
 		}
 		st.Chips = append(st.Chips, row)
 	}

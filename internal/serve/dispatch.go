@@ -3,11 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
-
-	"odin/internal/obs"
-	"odin/internal/pulse"
+	"slices"
 )
 
 // dispatch is the single goroutine that owns all routing, admission,
@@ -28,9 +24,14 @@ func (s *Server) dispatch() {
 			// mid-advance re-arms the hint instead of being lost (the worker
 			// sends its result before the hint, so a CAS lost to the window
 			// between takeWoken and the Store is observed by the advance).
+			// Advancing to +Inf retires the finished batch and dispatches
+			// the next one unconditionally — the formation rule is
+			// unchanged, only the *when* is eager. Real time may lag the
+			// chip's virtual finish under overload, so gating on a clock
+			// read here could strand queued requests until the next arrival.
 			for _, c := range s.takeWoken() {
 				c.wakePending.Store(false)
-				s.onWake(c)
+				s.advance(c, math.Inf(1), false)
 			}
 		case ack := <-s.drainc:
 			// Every Submit completed before Close flipped draining, so the
@@ -85,21 +86,12 @@ func (s *Server) handleOp(op *fleetOp) {
 			return
 		}
 		s.chips = append(s.chips, c)
+		s.live++
 		s.byModel[c.model] = append(s.byModel[c.model], c)
 		s.modelsMu.Lock()
 		s.models[c.model]++
 		s.modelsMu.Unlock()
-		s.met.chipsAdded.Inc()
-		s.met.fleetChips.Set(float64(s.liveChips()))
-		if p := s.cfg.Pulse; p.Enabled() {
-			// Ops ride the dispatcher's event stream, so s.lastT (the last
-			// arrival's time) is the op's deterministic virtual position.
-			p.Publish(pulse.Event{Kind: pulse.KindLifecycle, Time: s.lastT,
-				Chip: c.id, Model: c.model, Action: "add", Fleet: s.liveChips()})
-		}
-		if s.cfg.Logger != nil {
-			s.cfg.Logger.Info("chip added", "chip", c.id, "model", c.model)
-		}
+		s.lifecycle("add", c)
 		op.reply <- fleetOpResult{id: id}
 
 	case op.info:
@@ -108,17 +100,6 @@ func (s *Server) handleOp(op *fleetOp) {
 	default:
 		op.reply <- fleetOpResult{id: -1, err: s.removeChip(op.remove)}
 	}
-}
-
-// liveChips counts the non-removed fleet.
-func (s *Server) liveChips() int {
-	n := 0
-	for _, c := range s.chips {
-		if !c.removed {
-			n++
-		}
-	}
-	return n
 }
 
 // removeChip drains and retires one chip. The synchronous advance to +Inf
@@ -136,6 +117,7 @@ func (s *Server) removeChip(id int) error {
 	}
 	s.advance(c, math.Inf(1), true)
 	c.removed = true
+	s.live--
 	hosts := s.byModel[c.model]
 	for i, h := range hosts {
 		if h == c {
@@ -151,17 +133,7 @@ func (s *Server) removeChip(id int) error {
 		delete(s.models, c.model)
 	}
 	s.modelsMu.Unlock()
-	s.met.chipsRemoved.Inc()
-	s.met.fleetChips.Set(float64(s.liveChips()))
-	s.met.chipDepth.With(c.label).Set(0)
-	if p := s.cfg.Pulse; p.Enabled() {
-		p.Publish(pulse.Event{Kind: pulse.KindLifecycle, Time: s.lastT,
-			Chip: c.id, Model: c.model, Action: "remove", Fleet: s.liveChips()})
-	}
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Info("chip removed", "chip", c.id, "model", c.model,
-			"served", c.served)
-	}
+	s.lifecycle("remove", c)
 	return nil
 }
 
@@ -192,17 +164,6 @@ func (s *Server) fleetInfo() []ChipInfo {
 	return out
 }
 
-// onWake handles a Live-mode completion signal. Advancing to +Inf retires
-// the finished batch and dispatches the next one unconditionally — the
-// formation rule (start at max(freeAt, first arrival), coalesce the prefix
-// with arrival <= start) is unchanged; only the *when* is eager. Real time
-// may lag the chip's virtual finish under overload, so gating on a clock
-// read here could strand queued requests until the next arrival.
-func (s *Server) onWake(c *chip) {
-	s.advance(c, math.Inf(1), false)
-	s.met.chipDepth.With(c.label).Set(float64(len(c.pending)))
-}
-
 // process handles one arrival: route, admission-control, enqueue (or shed),
 // and kick the target chip's virtual-time machinery.
 func (s *Server) process(req *Request) {
@@ -215,15 +176,14 @@ func (s *Server) process(req *Request) {
 		req.Arrival = s.lastT
 	}
 	s.lastT = req.Arrival
-	s.met.requests.Inc()
 	if s.tenantsOn {
 		req.ten = s.tenant(req.Tenant)
-		s.met.tenantRequests.With(req.ten.label).Inc()
 	}
+	s.arrived(req)
 
 	hosts := s.byModel[req.Model]
 	if len(hosts) == 0 {
-		s.met.errors.Inc()
+		s.routeError()
 		req.respond(Response{ID: req.ID, Chip: -1, Err: "odinserve: unknown model " + req.Model})
 		return
 	}
@@ -237,18 +197,7 @@ func (s *Server) process(req *Request) {
 	if s.quotaOn {
 		s.advanceAll(t)
 		if ten := req.ten; ten.quota > 0 && ten.outstanding >= ten.quota {
-			s.met.shed.Inc()
-			s.met.quotaShed.Inc()
-			s.met.tenantShed.With(ten.label).Inc()
-			if tr := s.cfg.Tracer; tr.Enabled() {
-				tr.At("quota-shed", hosts[0].id, t, t, nil,
-					obs.Int64("request", int64(req.ID)),
-					obs.String("tenant", ten.label))
-			}
-			if p := s.cfg.Pulse; p.Enabled() {
-				p.Publish(pulse.Event{Kind: pulse.KindShed, Time: t, Chip: -1,
-					Model: req.Model, Request: req.ID, Reason: "quota", Tenant: ten.label})
-			}
+			s.shed("quota", req, nil, hosts[0].id, t, 0)
 			req.respond(Response{ID: req.ID, Chip: -1, Shed: true})
 			return
 		}
@@ -280,13 +229,8 @@ func (s *Server) process(req *Request) {
 		panic(fmt.Sprintf("serve: router %s picked out of range", s.router.Name()))
 	}
 	c := hosts[pick]
-	if na, ok := s.router.(nearAware); ok && !na.Near(views[pick]) {
-		for i := range views {
-			if na.Near(views[i]) {
-				s.met.steered.Inc()
-				break
-			}
-		}
+	if na, ok := s.router.(nearAware); ok && !na.Near(views[pick]) && slices.ContainsFunc(views, na.Near) {
+		s.steered()
 	}
 
 	// Observe any completions that are already available; this keeps queue
@@ -305,40 +249,18 @@ func (s *Server) process(req *Request) {
 		s.evictFor(c, req, t)
 	}
 	if len(c.pending) >= s.cfg.QueueDepth {
-		s.met.shed.Inc()
-		if s.tenantsOn {
-			s.met.tenantShed.With(req.ten.label).Inc()
-		}
-		// Zero-width marker on the chip's track. Shed decisions are exact
-		// under replay (the admission path synchronously advanced to t), so
-		// the marker's content is deterministic.
-		if tr := s.cfg.Tracer; tr.Enabled() {
-			tr.At("shed", c.id, t, t, nil,
-				obs.Int64("request", int64(req.ID)),
-				obs.String("model", req.Model))
-		}
-		if p := s.cfg.Pulse; p.Enabled() {
-			ev := pulse.Event{Kind: pulse.KindShed, Time: t, Chip: c.id,
-				Model: req.Model, Request: req.ID, Reason: "queue"}
-			if s.tenantsOn {
-				ev.Tenant = req.ten.label
-			}
-			p.Publish(ev)
-		}
+		s.shed("queue", req, c, c.id, t, 0)
 		req.respond(Response{ID: req.ID, Chip: c.id, Shed: true})
 		return
 	}
-	s.met.admitted.Inc()
-	if s.tenantsOn {
-		s.met.tenantAdmitted.With(req.ten.label).Inc()
+	if req.ten != nil {
 		req.ten.outstanding++
 	}
-	s.met.queueDepth.Observe(float64(len(c.pending)))
 	c.pending = append(c.pending, req)
+	s.admitted(c, req)
 	// If the chip is known-idle this dispatches immediately; otherwise the
 	// request waits for the in-flight batch's virtual completion.
 	s.advance(c, t, false)
-	s.met.chipDepth.With(c.label).Set(float64(len(c.pending)))
 }
 
 // evictFor makes room on a full queue for a higher-priority arrival: the
@@ -367,25 +289,10 @@ func (s *Server) evictFor(c *chip, req *Request, t float64) {
 	}
 	victim := c.pending[vi]
 	c.pending = append(c.pending[:vi], c.pending[vi+1:]...)
-	s.met.shed.Inc()
-	s.met.evicted.Inc()
 	if victim.ten != nil {
-		s.met.tenantShed.With(victim.ten.label).Inc()
 		victim.ten.outstanding--
 	}
-	if tr := s.cfg.Tracer; tr.Enabled() {
-		tr.At("evict", c.id, t, t, nil,
-			obs.Int64("request", int64(victim.ID)),
-			obs.Int64("by", int64(req.ID)))
-	}
-	if p := s.cfg.Pulse; p.Enabled() {
-		ev := pulse.Event{Kind: pulse.KindShed, Time: t, Chip: c.id,
-			Model: victim.Model, Request: victim.ID, Reason: "evict"}
-		if victim.ten != nil {
-			ev.Tenant = victim.ten.label
-		}
-		p.Publish(ev)
-	}
+	s.shed("evict", victim, c, c.id, t, req.ID)
 	victim.respond(Response{ID: victim.ID, Chip: c.id, Shed: true})
 }
 
@@ -436,33 +343,16 @@ func (s *Server) maintainHosts(hosts []*chip, t float64) {
 		c.freeAt = t + lat
 		c.energySum += energy
 		c.latencySum += lat
-		s.met.maintenance.Inc()
-		s.met.chipReprogram.With(c.label).Inc()
-		s.met.chipEnergy.With(c.label).Set(c.energySum)
-		if p := s.cfg.Pulse; p.Enabled() {
-			// Maintenance runs on the exact path (blocking advance done), so
-			// controller reads here are deterministic and race-free.
-			p.Publish(pulse.Event{Kind: pulse.KindReprogram, Time: t, Chip: c.id,
-				Model: c.model, Pass: "maintenance", Count: c.ctrl.Reprograms(),
-				Age: c.ctrl.Age(t)})
-		}
-		s.noteReprogram(c)
+		s.noteReprogram(c, "maintenance", t, 1, 0)
 	}
 }
 
 // noteReprogram applies the reprogram-budget bookkeeping shared by forced
-// (on-path) and maintenance passes.
-func (s *Server) noteReprogram(c *chip) {
-	if s.cfg.ReprogramBudget > 0 && !c.degraded && c.ctrl.Reprograms() >= s.cfg.ReprogramBudget {
-		c.degraded = true
-		s.met.chipDegraded.With(c.label).Set(1)
-		if s.cfg.Logger != nil {
-			s.cfg.Logger.Warn("chip degraded",
-				"chip", c.id, "model", c.model,
-				"reprograms", c.ctrl.Reprograms(),
-				"budget", s.cfg.ReprogramBudget)
-		}
-	}
+// (on-path) and maintenance passes, then books the pass.
+func (s *Server) noteReprogram(c *chip, pass string, t float64, passes, riders int) {
+	degraded := s.cfg.ReprogramBudget > 0 && !c.degraded && c.ctrl.Reprograms() >= s.cfg.ReprogramBudget
+	c.degraded = c.degraded || degraded
+	s.reprogrammed(c, pass, t, passes, riders, degraded)
 }
 
 // advance moves chip c's virtual time forward to t: it observes worker
@@ -539,56 +429,21 @@ func (s *Server) startBatch(c *chip, start float64, n int) {
 	c.pending = c.pending[:len(c.pending)-n]
 
 	b := &batch{chip: c, id: c.batches, start: start, reqs: reqs}
-	if s.cfg.Pulse.Enabled() {
-		// Backlog left behind at the batch's start — the pending prefix
-		// with arrival <= start (pending is FIFO in clamped arrival order,
-		// so the first later arrival ends the count). A pure function of
-		// virtual time, unlike len(pending) at result observation; see the
-		// batch.depth comment.
-		for _, r := range c.pending {
-			if r.Arrival > start {
-				break
-			}
-			b.depth++
-		}
-	}
 	c.batches++
 	c.inflight = b
-	s.met.batches.Inc()
-	s.met.batchSize.Observe(float64(n))
-	s.met.chipBatches.With(c.label).Inc()
+	s.batchStarted(b)
 	s.jobs <- b
 }
 
 // finishBatch ingests a worker result: computes the batch's virtual finish,
 // responds to every rider, and books the chip's deterministic accumulators
-// and telemetry. Requests in a batch execute back-to-back, so rider i waits
-// an extra i service times.
+// and telemetry.
 func (s *Server) finishBatch(b *batch) {
 	c := b.chip
 	rep := b.rep
 	b.finish = b.start + rep.BatchLatency()
 	b.done = true
-	// Span content is a pure function of the batch (virtual start, riders,
-	// deterministic report); only *when* finishBatch observes the result is
-	// scheduling-dependent, and canonical export ordering hides that.
-	var span *obs.Span
-	if tr := s.cfg.Tracer; tr.Enabled() {
-		span = tr.At("batch", c.id, b.start, b.finish, nil,
-			obs.String("model", c.model),
-			obs.Int64("batch", int64(b.id)),
-			obs.Int("size", len(b.reqs)),
-			obs.Float("energy", rep.BatchEnergy()),
-			obs.Bool("reprogrammed", rep.Reprogrammed))
-	}
 	for i, r := range b.reqs {
-		wait := b.start + float64(i)*rep.Latency - r.Arrival
-		if span != nil {
-			s.cfg.Tracer.At("request", c.id,
-				r.Arrival, b.start+float64(i+1)*rep.Latency, span,
-				obs.Int64("request", int64(r.ID)),
-				obs.Float("wait", wait))
-		}
 		r.respond(Response{
 			ID:           r.ID,
 			Chip:         c.id,
@@ -596,69 +451,18 @@ func (s *Server) finishBatch(b *batch) {
 			Sizes:        rep.Sizes,
 			Energy:       rep.Energy,
 			Latency:      rep.Latency,
-			Wait:         wait,
+			Wait:         b.wait(i),
 			Accuracy:     rep.Accuracy,
 			Reprogrammed: rep.Reprogrammed,
 		})
-		s.met.completed.Inc()
-		s.met.queueWait.Observe(wait)
 	}
 	c.served += uint64(len(b.reqs))
 	c.energySum += rep.BatchEnergy()
 	c.latencySum += rep.BatchLatency()
-	s.met.chipEnergy.With(c.label).Set(c.energySum)
-	if p := s.cfg.Pulse; p.Enabled() {
-		// Everything on the event is a pure function of the batch: its
-		// virtual start/finish, the deterministic report, the start-time
-		// backlog (b.depth), and the controller's post-batch drift state —
-		// the next batch cannot have run (one in flight per chip), and
-		// maintenance passes require an idle chip, so Age/Reprograms here
-		// are the chip's exact state after batch b regardless of when the
-		// dispatcher observed the result.
-		ev := pulse.Event{Kind: pulse.KindBatch, Time: b.finish, Chip: c.id,
-			Model: c.model, Batch: b.id, Size: len(b.reqs), Queue: b.depth,
-			Latency: rep.BatchLatency(), Energy: rep.BatchEnergy(),
-			Age: c.ctrl.Age(b.finish), Deadline: c.ctrl.ForcedReprogramAge(),
-			Reprogram: rep.Reprogrammed}
-		if s.tenantsOn {
-			ev.Tenant = batchTenants(b.reqs)
-		}
-		p.Publish(ev)
-		if rep.Reprogrammed {
-			p.Publish(pulse.Event{Kind: pulse.KindReprogram, Time: b.finish,
-				Chip: c.id, Model: c.model, Pass: "forced",
-				Count: c.ctrl.Reprograms(), Age: c.ctrl.Age(b.finish)})
-		}
-	}
-	if rep.PolicyUpdated {
-		s.met.chipUpdates.With(c.label).Inc()
-	}
+	s.batchRetired(b)
 	if rep.Reprogrammed {
-		s.met.chipReprogram.With(c.label).Add(uint64(rep.ReprogramPasses))
-		s.met.reprogramOnPath.Add(uint64(len(b.reqs)))
-		s.noteReprogram(c)
+		s.noteReprogram(c, "forced", b.finish, rep.ReprogramPasses, len(b.reqs))
 	}
-}
-
-// batchTenants renders the batch's distinct rider tenant labels, sorted —
-// deterministic because it depends only on batch composition.
-func batchTenants(reqs []*Request) string {
-	var labels []string
-	for _, r := range reqs {
-		l := tenantLabel(r.Tenant)
-		seen := false
-		for _, s := range labels {
-			if s == l {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			labels = append(labels, l)
-		}
-	}
-	sort.Strings(labels)
-	return strings.Join(labels, ",")
 }
 
 // flush drains the whole fleet: every admitted request is executed and
@@ -667,9 +471,6 @@ func batchTenants(reqs []*Request) string {
 func (s *Server) flush() {
 	for _, c := range s.chips {
 		s.advance(c, math.Inf(1), true)
-		s.met.chipDepth.With(c.label).Set(0)
 	}
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Info("fleet drained", "chips", len(s.chips))
-	}
+	s.drained()
 }

@@ -118,15 +118,7 @@ type HandlerOptions struct {
 func NewHandlerOpts(s *Server, opts HandlerOptions) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/infer", func(w http.ResponseWriter, r *http.Request) { s.handleInfer(w, r) })
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		var sb strings.Builder
-		if err := s.Registry().WritePrometheus(&sb); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		fmt.Fprint(w, sb.String())
-	})
+	mux.HandleFunc("/metrics", serveDump("text/plain; version=0.0.4", s.Registry().WritePrometheus))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		// Explicit Content-Type before any write: the sniffing default is
 		// what the PR-2 /infer fix removed, and it must be set before
@@ -149,15 +141,7 @@ func NewHandlerOpts(s *Server, opts HandlerOptions) http.Handler {
 		registerAdmin(mux, s)
 	}
 	if opts.Tracer.Enabled() {
-		mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
-			var sb strings.Builder
-			if err := opts.Tracer.WriteChromeTrace(&sb); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprint(w, sb.String())
-		})
+		mux.HandleFunc("/debug/trace", serveDump("application/json", opts.Tracer.WriteChromeTrace))
 	}
 	if opts.Debug {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -167,6 +151,20 @@ func NewHandlerOpts(s *Server, opts HandlerOptions) http.Handler {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return mux
+}
+
+// serveDump answers with the bytes dump renders, or a 500 when rendering
+// fails before anything was written.
+func serveDump(contentType string, dump func(io.Writer) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var sb strings.Builder
+		if err := dump(&sb); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", contentType)
+		fmt.Fprint(w, sb.String())
+	}
 }
 
 // writeJSON emits one JSON response. Headers must be set before
@@ -315,20 +313,14 @@ func registerPulse(mux *http.ServeMux, s *Server) {
 			kinds = ks
 		}
 		var last uint64
-		if v := r.Header.Get("Last-Event-ID"); v == "" {
-			v = r.URL.Query().Get("last_id")
-			if v != "" {
-				n, err := strconv.ParseUint(v, 10, 64)
-				if err != nil {
-					writeError(w, http.StatusBadRequest, "odinserve: last_id %q is not a number", v)
-					return
-				}
-				last = n
-			}
-		} else {
+		from, v := "Last-Event-ID", r.Header.Get("Last-Event-ID")
+		if v == "" {
+			from, v = "last_id", r.URL.Query().Get("last_id")
+		}
+		if v != "" {
 			n, err := strconv.ParseUint(v, 10, 64)
 			if err != nil {
-				writeError(w, http.StatusBadRequest, "odinserve: Last-Event-ID %q is not a number", v)
+				writeError(w, http.StatusBadRequest, "odinserve: %s %q is not a number", from, v)
 				return
 			}
 			last = n

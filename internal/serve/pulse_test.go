@@ -298,6 +298,18 @@ func TestPulseRejectEvent(t *testing.T) {
 	if got := string(evs[0].AppendJSON(nil)); !strings.Contains(got, `"request":null`) {
 		t.Fatalf("reject event JSON %s must carry request:null", got)
 	}
+
+	// With tenant accounting on, rejects carry the same tenant label as
+	// every dispatcher shed: the unnamed class is "default".
+	bus = pulse.New(pulse.Options{})
+	s, _ = tinyServer(t, 1, Config{Pulse: bus, Tenants: []TenantConfig{{Name: "gold"}}})
+	s.Close()
+	<-s.Submit("tiny")
+	<-s.SubmitAs("tiny", "gold")
+	evs = bus.Since(0, pulse.AllKinds)
+	if len(evs) != 2 || evs[0].Tenant != "default" || evs[1].Tenant != "gold" {
+		t.Fatalf("tenant reject events = %+v, want tenants default and gold", evs)
+	}
 }
 
 // TestPulseDisabledSurfaces pins that without a bus the pulse endpoints do

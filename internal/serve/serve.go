@@ -289,7 +289,7 @@ type batch struct {
 
 	// depth is the backlog left behind at the batch's start: pending
 	// requests with arrival <= start that did not coalesce (beyond
-	// MaxBatch). Captured in startBatch because it is a pure function of
+	// MaxBatch). Captured at batch start because it is a pure function of
 	// virtual time there — unlike len(pending) at result observation,
 	// which depends on how eagerly completions were observed — so the
 	// pulse batch event stays worker-count invariant. Only computed when
@@ -297,83 +297,10 @@ type batch struct {
 	depth int
 }
 
-// metrics bundles the serve-path instrumentation.
-type metrics struct {
-	requests  *telemetry.Counter
-	admitted  *telemetry.Counter
-	shed      *telemetry.Counter
-	errors    *telemetry.Counter
-	rejected  *telemetry.Counter
-	evicted   *telemetry.Counter
-	quotaShed *telemetry.Counter
-	completed *telemetry.Counter
-	batches   *telemetry.Counter
-
-	steered         *telemetry.Counter
-	maintenance     *telemetry.Counter
-	reprogramOnPath *telemetry.Counter
-
-	fleetChips   *telemetry.Gauge
-	chipsAdded   *telemetry.Counter
-	chipsRemoved *telemetry.Counter
-
-	tenantRequests *telemetry.CounterVec
-	tenantAdmitted *telemetry.CounterVec
-	tenantShed     *telemetry.CounterVec
-
-	batchSize  *telemetry.Histogram
-	queueWait  *telemetry.Histogram
-	queueDepth *telemetry.Histogram
-
-	chipDepth     *telemetry.GaugeVec
-	chipReprogram *telemetry.CounterVec
-	chipUpdates   *telemetry.CounterVec
-	chipBatches   *telemetry.CounterVec
-	chipEnergy    *telemetry.GaugeVec
-	chipDegraded  *telemetry.GaugeVec
-}
-
-func newMetrics(r *telemetry.Registry) metrics {
-	return metrics{
-		requests:  r.Counter("odinserve_requests_total", "requests submitted"),
-		admitted:  r.Counter("odinserve_admitted_total", "requests admitted past admission control"),
-		shed:      r.Counter("odinserve_shed_total", "requests shed by admission control (429)"),
-		errors:    r.Counter("odinserve_errors_total", "requests rejected for routing errors"),
-		rejected:  r.Counter("odinserve_rejected_total", "submissions rejected while draining (never dispatched)"),
-		evicted:   r.Counter("odinserve_evicted_total", "queued requests evicted by higher-priority arrivals (subset of shed)"),
-		quotaShed: r.Counter("odinserve_quota_shed_total", "requests shed by tenant quota enforcement (subset of shed)"),
-		completed: r.Counter("odinserve_completed_total", "requests served to completion"),
-		batches:   r.Counter("odinserve_batches_total", "decision-pass batches dispatched"),
-
-		steered: r.Counter("odinserve_steered_total",
-			"arrivals routed away from a chip near its forced-reprogram deadline"),
-		maintenance: r.Counter("odinserve_maintenance_reprograms_total",
-			"off-path reprogram passes taken on idle chips"),
-		reprogramOnPath: r.Counter("odinserve_reprogram_on_path_requests_total",
-			"requests whose batch carried a forced reprogram stall"),
-
-		fleetChips:   r.Gauge("odinserve_fleet_chips", "live (non-removed) chips in the fleet"),
-		chipsAdded:   r.Counter("odinserve_chips_added_total", "chips hot-added while serving"),
-		chipsRemoved: r.Counter("odinserve_chips_removed_total", "chips drained and removed while serving"),
-
-		tenantRequests: r.CounterVec("odinserve_tenant_requests_total", "requests submitted per tenant", "tenant"),
-		tenantAdmitted: r.CounterVec("odinserve_tenant_admitted_total", "requests admitted per tenant", "tenant"),
-		tenantShed:     r.CounterVec("odinserve_tenant_shed_total", "requests shed per tenant (quota, queue, or eviction)", "tenant"),
-
-		batchSize: r.Histogram("odinserve_batch_size",
-			"coalesced requests per batch", []float64{1, 2, 4, 8, 16, 32}),
-		queueWait: r.Histogram("odinserve_queue_wait_seconds",
-			"virtual queue wait per request", []float64{1e-4, 1e-3, 1e-2, 1e-1, 1, 10}),
-		queueDepth: r.Histogram("odinserve_queue_depth",
-			"chip queue depth sampled at admission", []float64{0, 1, 2, 4, 8, 16, 32, 64}),
-
-		chipDepth:     r.GaugeVec("odinserve_chip_queue_depth", "current queue depth per chip", "chip"),
-		chipReprogram: r.CounterVec("odinserve_chip_reprograms_total", "reprogramming passes per chip", "chip"),
-		chipUpdates:   r.CounterVec("odinserve_chip_policy_updates_total", "online policy updates per chip", "chip"),
-		chipBatches:   r.CounterVec("odinserve_chip_batches_total", "batches executed per chip", "chip"),
-		chipEnergy:    r.GaugeVec("odinserve_chip_energy_joules", "cumulative served energy per chip", "chip"),
-		chipDegraded:  r.GaugeVec("odinserve_chip_degraded", "1 when the chip exhausted its reprogram budget", "chip"),
-	}
+// wait is rider i's virtual queue wait: riders execute back-to-back, so
+// rider i starts i service times after the batch.
+func (b *batch) wait(i int) float64 {
+	return b.start + float64(i)*b.rep.Latency - b.reqs[i].Arrival
 }
 
 // event is one entry of the dispatcher's serialized input stream: an
@@ -411,6 +338,7 @@ type Server struct {
 	sys core.System
 
 	chips   []*chip
+	live    int // non-removed chips
 	byModel map[string][]*chip
 	router  Router
 
@@ -535,7 +463,8 @@ func NewServer(cfg Config) (*Server, error) {
 		// start while replay event logs stay free of construction noise.
 		s.cfg.Pulse.Register(c.id, c.model)
 	}
-	s.met.fleetChips.Set(float64(len(s.chips)))
+	s.live = len(s.chips)
+	s.met.fleetChips.Set(float64(s.live))
 	return s, nil
 }
 
@@ -655,14 +584,9 @@ func (s *Server) SubmitAs(model, tenant string) <-chan Response {
 	s.mu.RLock()
 	if !s.started || s.draining {
 		s.mu.RUnlock()
-		s.met.requests.Inc()
-		s.met.rejected.Inc()
-		if p := s.cfg.Pulse; p.Enabled() {
-			// Live-only by construction: Replay finishes submitting before
-			// Close, so rejection events never appear in replay logs.
-			p.Publish(pulse.Event{Kind: pulse.KindShed, Time: req.Arrival,
-				Chip: -1, Model: model, Tenant: tenant, Reason: "reject"})
-		}
+		// Live-only by construction: Replay finishes submitting before
+		// Close, so rejection events never appear in replay logs.
+		s.shed("reject", req, nil, -1, req.Arrival, 0)
 		req.respond(Response{ID: RejectedID, Chip: -1, Rejected: true,
 			Err: "odinserve: " + ErrDraining.Error()})
 		return done

@@ -25,9 +25,12 @@ var pulseGuardBus *pulse.Bus
 //  1. A nil *pulse.Bus is a true no-op: every method returns without
 //     allocating — enforced unconditionally, since an allocation on the
 //     disabled path is a logic bug, not timing noise.
-//  2. The disabled cost per publish site is one pointer test: every site
-//     in internal/serve gates event assembly on Enabled(), so a replay
-//     with Config.Pulse nil pays sites × (nil test) per request. Armed
+//  2. The disabled cost per publish site is one pointer test: each serve
+//     fact is booked by one method in internal/serve/emit.go, whose event
+//     is a stack value the meters read anyway, and which fills the
+//     bus-only fields (drift age, rider tenants, start backlog) and
+//     publishes behind one Enabled() test — so a replay with Config.Pulse
+//     nil pays sites × (nil test) per request. Armed
 //     (ODIN_PULSE_GUARD=1, set by make pulsesmoke), the guard measures
 //     that gate and requires the per-request total to stay under 2% of
 //     the per-request dispatch cost — the same budget the obs guard
@@ -58,7 +61,8 @@ func TestDisabledPulseOverheadGuard(t *testing.T) {
 	}
 
 	// The disabled publish site: the Enabled() nil test, nothing else —
-	// event assembly sits behind the gate at every site in internal/serve.
+	// bus-only field assembly and the publish sit behind the gate in every
+	// emit method of internal/serve.
 	gateRes := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if pulseGuardBus.Enabled() {
@@ -105,9 +109,10 @@ func TestDisabledPulseOverheadGuard(t *testing.T) {
 		}
 	}).NsPerOp())
 
-	// Gates crossed per served request: admission shed check, start-batch
-	// depth capture, batch retirement, forced-reprogram booking, decision
-	// tap wiring check, maintenance pass — call it 8 to stay conservative.
+	// Gates crossed per served request: the batch-start backlog capture,
+	// batch retirement, forced and maintenance reprogram bookings, shed,
+	// lifecycle, and the decision tap wiring check — call it 8 to stay
+	// conservative.
 	const sitesPerRequest = 8
 	overhead := gateNs * sitesPerRequest / reqNs
 	t.Logf("pulse gate %.2f ns, request dispatch %.0f ns, disabled overhead %.4f%% (%d sites)",
