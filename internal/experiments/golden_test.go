@@ -14,11 +14,14 @@ import (
 // comparison (fig6, the full horizon driver), the §V-E overhead
 // analysis, the line-6 optimizer head-to-head (opt-compare, which
 // freezes all four registered strategies including the TPE sampler's
-// draws), and the fleet-scale routing comparison (fleet, which freezes
+// draws), the fleet-scale routing comparison (fleet, which freezes
 // the serve layer's routing, admission, drift steering, and churned-replay
-// checksums at 1024 chips). Every numeric path in the repository —
-// mapping, cost models, drift, search, policy bootstrap, horizon
-// amortisation, serving — feeds at least one of these byte streams, so
+// checksums at 1024 chips), the online-adaptation curve (fig5, Algorithm 1
+// line 11's buffered policy updates), and the policy-trunk ablation
+// (abl-policy, the no-trunk and trunk-width training variants). Every
+// numeric path in the repository — mapping, cost models, drift, search,
+// policy bootstrap, online training, horizon amortisation, serving —
+// feeds at least one of these byte streams, so
 // any unintended change to the physics or the controller shows up as a
 // golden diff. Accept intended changes with:
 //
@@ -29,7 +32,7 @@ import (
 // matters.
 func TestGoldenArtifacts(t *testing.T) {
 	t.Parallel()
-	for _, id := range []string{"tab1", "tab2", "fig3", "fig6", "overhead", "opt-compare", "fleet"} {
+	for _, id := range []string{"tab1", "tab2", "fig3", "fig6", "overhead", "opt-compare", "fleet", "fig5", "abl-policy"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
