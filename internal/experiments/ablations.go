@@ -425,8 +425,10 @@ func AblPolicy(sys core.System, hiddens [][]int) (AblPolicyResult, error) {
 	if err != nil {
 		return res, err
 	}
-	// Each trunk trains its own fresh policy; the shared example slices are
-	// read-only (mlp.Train visits them through a private permutation).
+	// Each trunk trains its own fresh policy, which is single-owner (its
+	// network's workspace is private to this goroutine). The shared example
+	// slices stay read-only: Policy.Train encodes them into the policy's
+	// own buffers and mlp.Train only reads those.
 	res.Rows = make([]AblPolicyRow, len(hiddens))
 	if err := par.ForEach(0, len(hiddens), func(i int) error {
 		hidden := hiddens[i]

@@ -9,6 +9,7 @@ package mat
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Dense is a row-major dense matrix.
@@ -58,47 +59,81 @@ func (m *Dense) Clone() *Dense {
 
 // MulVec computes y = m·x. If dst is non-nil and correctly sized it is
 // reused, otherwise a new slice is allocated; the result is returned either
-// way.
+// way. dst must not overlap x.
+//
+// Rows are accumulated four at a time so their independent add chains
+// overlap in the FP pipeline; each row still sums into its own accumulator
+// in ascending column order, so every result is bit-identical to a plain
+// one-row-at-a-time dot product.
 func (m *Dense) MulVec(x, dst []float64) []float64 {
 	if len(x) != m.Cols {
 		panic(fmt.Sprintf("mat: MulVec dimension mismatch: %d cols vs %d vec", m.Cols, len(x)))
 	}
 	if len(dst) != m.Rows {
 		dst = make([]float64, m.Rows)
+	} else if overlaps(dst, x) {
+		panic("mat: MulVec dst overlaps x")
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+	c := m.Cols
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		r0 := m.Data[i*c:][:len(x)]
+		r1 := m.Data[(i+1)*c:][:len(x)]
+		r2 := m.Data[(i+2)*c:][:len(x)]
+		r3 := m.Data[(i+3)*c:][:len(x)]
+		var s0, s1, s2, s3 float64
+		for j, xj := range x {
+			s0 += r0[j] * xj
+			s1 += r1[j] * xj
+			s2 += r2[j] * xj
+			s3 += r3[j] * xj
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m.Rows; i++ {
+		row := m.Data[i*c:][:len(x)]
 		var s float64
-		for j, w := range row {
-			s += w * x[j]
+		for j, xj := range x {
+			s += row[j] * xj
 		}
 		dst[i] = s
 	}
 	return dst
 }
 
-// MulVecT computes y = mᵀ·x (x has length Rows, result length Cols).
+// MulVecT computes y = mᵀ·x (x has length Rows, result length Cols). dst
+// is reused when correctly sized, as in MulVec, and must not overlap x.
 func (m *Dense) MulVecT(x, dst []float64) []float64 {
 	if len(x) != m.Rows {
 		panic(fmt.Sprintf("mat: MulVecT dimension mismatch: %d rows vs %d vec", m.Rows, len(x)))
 	}
 	if len(dst) != m.Cols {
 		dst = make([]float64, m.Cols)
+	} else if overlaps(dst, x) {
+		panic("mat: MulVecT dst overlaps x")
 	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < m.Rows; i++ {
-		xi := x[i]
+	clear(dst)
+	for i, xi := range x {
 		if xi == 0 {
 			continue
 		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		row := m.Data[i*m.Cols:][:len(dst)]
 		for j, w := range row {
 			dst[j] += w * xi
 		}
 	}
 	return dst
+}
+
+// overlaps reports whether a and b share any element. Disjoint windows of
+// one backing array do not overlap.
+func overlaps(a, b []float64) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	const size = unsafe.Sizeof(float64(0))
+	pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return pa < pb+uintptr(len(b))*size && pb < pa+uintptr(len(a))*size
 }
 
 // AddOuterScaled performs m += scale · a·bᵀ, the rank-1 gradient update used
@@ -178,8 +213,11 @@ func AxpyTo(dst, a []float64, scale float64, b []float64) {
 	}
 }
 
-// Softmax writes the softmax of src into dst (may alias) and returns dst.
-// It is numerically stabilised by max-subtraction.
+// Softmax writes the softmax of src into dst and returns dst; a new slice
+// is allocated when dst is not correctly sized. dst may alias src: each
+// element is read before it is overwritten, and the MLP relies on this to
+// turn logits into probabilities in place. It is numerically stabilised by
+// max-subtraction.
 func Softmax(src, dst []float64) []float64 {
 	if len(dst) != len(src) {
 		dst = make([]float64, len(src))

@@ -281,3 +281,80 @@ func TestMulVecDimensionPanic(t *testing.T) {
 	}()
 	NewDense(2, 3).MulVec([]float64{1, 2}, nil)
 }
+
+// mustPanicWith runs fn and fails unless it panics with exactly msg.
+func mustPanicWith(t *testing.T, msg string, fn func()) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != msg {
+			t.Fatalf("panic = %v, want %q", r, msg)
+		}
+	}()
+	fn()
+}
+
+// MulVec and MulVecT write dst while still reading x, so an overlapping
+// dst would silently corrupt the result; both refuse it. Disjoint windows
+// of one backing array are fine (the MLP workspace relies on that).
+func TestMulVecRejectsOverlappingDst(t *testing.T) {
+	t.Parallel()
+	sq := FromRows([][]float64{{1, 2}, {3, 4}})
+	buf := []float64{1, 1, 0, 0, 0}
+	mustPanicWith(t, "mat: MulVec dst overlaps x", func() { sq.MulVec(buf[:2], buf[:2]) })
+	mustPanicWith(t, "mat: MulVec dst overlaps x", func() { sq.MulVec(buf[:2], buf[1:3]) })
+	got := sq.MulVec(buf[:2], buf[2:4])
+	if got[0] != 3 || got[1] != 7 || buf[0] != 1 || buf[1] != 1 {
+		t.Fatalf("MulVec into a disjoint window = %v (buf %v)", got, buf)
+	}
+}
+
+func TestMulVecTRejectsOverlappingDst(t *testing.T) {
+	t.Parallel()
+	sq := FromRows([][]float64{{1, 2}, {3, 4}})
+	buf := []float64{1, 1, 0, 0, 0}
+	mustPanicWith(t, "mat: MulVecT dst overlaps x", func() { sq.MulVecT(buf[:2], buf[:2]) })
+	mustPanicWith(t, "mat: MulVecT dst overlaps x", func() { sq.MulVecT(buf[1:3], buf[:2]) })
+	got := sq.MulVecT(buf[:2], buf[3:5])
+	if got[0] != 4 || got[1] != 6 || buf[0] != 1 || buf[1] != 1 {
+		t.Fatalf("MulVecT into a disjoint window = %v (buf %v)", got, buf)
+	}
+}
+
+// The row-blocked MulVec must reproduce a plain per-row dot product bit
+// for bit at every row count (blocks of four plus a remainder).
+func TestMulVecBitIdenticalToRowDot(t *testing.T) {
+	t.Parallel()
+	src := rng.New(8)
+	for rows := 1; rows <= 9; rows++ {
+		m := NewDense(rows, 13)
+		for i := range m.Data {
+			m.Data[i] = src.NormFloat64() * 1e3
+		}
+		x := make([]float64, 13)
+		for i := range x {
+			x[i] = src.NormFloat64()
+		}
+		got := m.MulVec(x, nil)
+		for i := 0; i < rows; i++ {
+			var s float64
+			for j, w := range m.Row(i) {
+				s += w * x[j]
+			}
+			if math.Float64bits(got[i]) != math.Float64bits(s) {
+				t.Fatalf("rows=%d row %d: %v, per-row dot %v", rows, i, got[i], s)
+			}
+		}
+	}
+}
+
+func TestSoftmaxInPlaceMatchesCopy(t *testing.T) {
+	t.Parallel()
+	in := []float64{0.3, -2, 7.5, 0, 1e-3}
+	want := Softmax(in, nil)
+	got := Softmax(in, in)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("in-place softmax[%d] = %v, copy %v", i, got[i], want[i])
+		}
+	}
+}

@@ -70,16 +70,107 @@ func (l *linear) clone() *linear {
 	return c
 }
 
-func (l *linear) zeroLike() *linear {
-	return &linear{W: mat.NewDense(l.W.Rows, l.W.Cols), B: make([]float64, len(l.B))}
-}
-
 // Network is a trained or trainable MLP. Create one with New; the zero value
 // is not usable.
+//
+// A Network is single-owner: it is not safe for concurrent use, not even
+// for Predict/Classify, because every call computes in a scratch workspace
+// owned by the network (and Train mutates the weights). Give each
+// goroutine its own Network, e.g. a Clone.
 type Network struct {
-	cfg   Config
-	trunk []*linear
-	heads []*linear
+	cfg Config
+	// layers holds the trunk followed by the heads; trunk and heads are
+	// views of it, so one walk visits every parameter in Parameters order.
+	layers []*linear
+	trunk  []*linear
+	heads  []*linear
+	ws     *workspace // built by the first forward pass, never by New
+}
+
+// workspace is the scratch memory every forward pass, backward pass and
+// parameter update writes into, so that Train, Predict and Classify
+// allocate nothing once it exists. Forward-pass buffers are built by the
+// first prediction; training state is added by the first Train or
+// Gradients, so a network that only predicts never carries gradients.
+type workspace struct {
+	acts    [][]float64 // acts[0] is the caller's input (never written); acts[i+1] is trunk layer i's ReLU output
+	logits  [][]float64 // per-head logits; Predict, Loss and training softmax them in place
+	classes []int       // Classify's result
+
+	// Training state, nil until the first Train or Gradients.
+	dTop   []float64   // ∂loss/∂(trunk output), summed over heads
+	back   []float64   // one head's contribution to dTop
+	deltas [][]float64 // deltas[i]: ∂loss/∂(trunk layer i output); dTop stands in for the last
+	grad   []*linear   // per-batch gradient sums, aligned with Network.layers
+	vel    []*linear   // SGD momentum, zeroed at the start of every Train
+	m1, m2 []*linear   // Adam moments, zeroed at the start of every Train
+	order  []int       // the epoch's example permutation
+}
+
+// floats carves consecutive windows of the given lengths out of one
+// allocation.
+func floats(lens ...int) [][]float64 {
+	total := 0
+	for _, l := range lens {
+		total += l
+	}
+	flat := make([]float64, total)
+	out := make([][]float64, len(lens))
+	for i, l := range lens {
+		out[i], flat = flat[:l:l], flat[l:]
+	}
+	return out
+}
+
+// workspace returns the network's forward-pass workspace, building it on
+// first use.
+func (n *Network) workspace() *workspace {
+	if n.ws == nil {
+		lens := append(append([]int{0}, n.cfg.Hidden...), n.cfg.Heads...)
+		bufs := floats(lens...)
+		n.ws = &workspace{
+			acts:    bufs[:len(n.trunk)+1],
+			logits:  bufs[len(n.trunk)+1:],
+			classes: make([]int, len(n.heads)),
+		}
+	}
+	return n.ws
+}
+
+// trainWorkspace returns the workspace with its gradient and back-prop
+// buffers built.
+func (n *Network) trainWorkspace() *workspace {
+	ws := n.workspace()
+	if ws.grad == nil {
+		top := n.heads[0].W.Cols // trunk output width (InputDim without a trunk)
+		bufs := floats(append([]int{top, top}, n.cfg.Hidden...)...)
+		ws.dTop, ws.back, ws.deltas = bufs[0], bufs[1], bufs[2:]
+		ws.grad = n.zeroed(nil)
+	}
+	return ws
+}
+
+// zeroed returns gs (parameter-shaped buffers aligned with n.layers) reset
+// to zero, building them on first use.
+func (n *Network) zeroed(gs []*linear) []*linear {
+	if gs == nil {
+		gs = make([]*linear, len(n.layers))
+		for i, l := range n.layers {
+			gs[i] = &linear{W: mat.NewDense(l.W.Rows, l.W.Cols), B: make([]float64, len(l.B))}
+		}
+		return gs
+	}
+	for _, g := range gs {
+		clear(g.W.Data)
+		clear(g.B)
+	}
+	return gs
+}
+
+// assemble builds a network from its layers, trunk first.
+func assemble(cfg Config, layers []*linear) *Network {
+	nt := len(cfg.Hidden)
+	return &Network{cfg: cfg, layers: layers, trunk: layers[:nt:nt], heads: layers[nt:]}
 }
 
 // New builds a network with He-initialised weights drawn from the config
@@ -90,91 +181,88 @@ func New(cfg Config) *Network {
 		panic(fmt.Sprintf("mlp: %v", err))
 	}
 	src := rng.New(cfg.Seed ^ 0x6f64696e6d6c70) // decorrelate from other subsystems
-	n := &Network{cfg: cfg}
+	layers := make([]*linear, 0, len(cfg.Hidden)+len(cfg.Heads))
 	in := cfg.InputDim
 	for _, h := range cfg.Hidden {
-		n.trunk = append(n.trunk, newLinear(in, h, src))
+		layers = append(layers, newLinear(in, h, src))
 		in = h
 	}
 	for _, h := range cfg.Heads {
-		n.heads = append(n.heads, newLinear(in, h, src))
+		layers = append(layers, newLinear(in, h, src))
 	}
-	return n
+	return assemble(cfg, layers)
 }
 
 // Config returns the configuration the network was built with.
 func (n *Network) Config() Config { return n.cfg }
 
-// Clone returns an independent deep copy of the network.
+// Clone returns an independent deep copy of the network's parameters. The
+// copy shares no workspace with n, so it may be handed to another
+// goroutine.
 func (n *Network) Clone() *Network {
-	c := &Network{cfg: n.cfg}
-	for _, l := range n.trunk {
-		c.trunk = append(c.trunk, l.clone())
+	layers := make([]*linear, len(n.layers))
+	for i, l := range n.layers {
+		layers[i] = l.clone()
 	}
-	for _, l := range n.heads {
-		c.heads = append(c.heads, l.clone())
-	}
-	return c
+	return assemble(n.cfg, layers)
 }
 
 // NumParams returns the total number of trainable scalars.
 func (n *Network) NumParams() int {
 	total := 0
-	for _, l := range append(append([]*linear{}, n.trunk...), n.heads...) {
+	for _, l := range n.layers {
 		total += len(l.W.Data) + len(l.B)
 	}
 	return total
 }
 
-// forward runs the trunk and returns every post-activation (index 0 is the
-// input itself) plus the raw logits per head.
-func (n *Network) forward(input []float64) (acts [][]float64, logits [][]float64) {
+// forward runs the network on input, leaving every trunk post-activation in
+// ws.acts and the raw logits per head in ws.logits.
+func (n *Network) forward(input []float64) *workspace {
 	if len(input) != n.cfg.InputDim {
 		panic(fmt.Sprintf("mlp: input length %d, want %d", len(input), n.cfg.InputDim))
 	}
-	acts = make([][]float64, len(n.trunk)+1)
-	acts[0] = input
+	ws := n.workspace()
+	ws.acts[0] = input
 	h := input
 	for i, l := range n.trunk {
-		z := l.W.MulVec(h, nil)
+		z := l.W.MulVec(h, ws.acts[i+1])
 		for j := range z {
 			z[j] += l.B[j]
 			if z[j] < 0 { // ReLU
 				z[j] = 0
 			}
 		}
-		acts[i+1] = z
 		h = z
 	}
-	logits = make([][]float64, len(n.heads))
 	for k, l := range n.heads {
-		z := l.W.MulVec(h, nil)
+		z := l.W.MulVec(h, ws.logits[k])
 		for j := range z {
 			z[j] += l.B[j]
 		}
-		logits[k] = z
 	}
-	return acts, logits
+	return ws
 }
 
-// Predict returns per-head softmax probability vectors for the input.
+// Predict returns per-head softmax probability vectors for the input. The
+// vectors live in the network's workspace: they are valid until the next
+// call on n, so copy them to keep them.
 func (n *Network) Predict(input []float64) [][]float64 {
-	_, logits := n.forward(input)
-	probs := make([][]float64, len(logits))
-	for k, z := range logits {
-		probs[k] = mat.Softmax(z, nil)
+	ws := n.forward(input)
+	for _, z := range ws.logits {
+		mat.Softmax(z, z)
 	}
-	return probs
+	return ws.logits
 }
 
-// Classify returns the arg-max class per head.
+// Classify returns the arg-max class per head. The slice lives in the
+// network's workspace and is valid until the next call on n.
 func (n *Network) Classify(input []float64) []int {
-	_, logits := n.forward(input)
-	out := make([]int, len(logits))
-	for k, z := range logits {
-		out[k] = mat.ArgMax(z)
+	ws := n.forward(input)
+	for k, z := range ws.logits {
+		ws.classes[k] = mat.ArgMax(z)
 	}
-	return out
+	return ws.classes
 }
 
 // Example is one supervised training pair: an input vector and one target
@@ -209,62 +297,39 @@ func (n *Network) Loss(examples []Example) float64 {
 		if err := n.checkExample(e); err != nil {
 			panic(fmt.Sprintf("mlp: %v", err))
 		}
-		_, logits := n.forward(e.Input)
-		for k, z := range logits {
-			p := mat.Softmax(z, nil)
+		ws := n.forward(e.Input)
+		for k, z := range ws.logits {
+			p := mat.Softmax(z, z)
 			total += -math.Log(math.Max(p[e.Targets[k]], 1e-300))
 		}
 	}
 	return total / float64(len(examples))
 }
 
-// grads mirrors the network's parameter shapes.
-type grads struct {
-	trunk []*linear
-	heads []*linear
-}
-
-func (n *Network) newGrads() *grads {
-	g := &grads{}
-	for _, l := range n.trunk {
-		g.trunk = append(g.trunk, l.zeroLike())
-	}
-	for _, l := range n.heads {
-		g.heads = append(g.heads, l.zeroLike())
-	}
-	return g
-}
-
-func (g *grads) zero() {
-	for _, l := range append(append([]*linear{}, g.trunk...), g.heads...) {
-		l.W.Zero()
-		for i := range l.B {
-			l.B[i] = 0
-		}
-	}
-}
-
-// accumulate adds ∂loss/∂θ for a single example into g and returns that
-// example's loss.
-func (n *Network) accumulate(e Example, g *grads) float64 {
-	acts, logits := n.forward(e.Input)
-	top := acts[len(acts)-1] // trunk output (or raw input when no hidden layers)
+// accumulate adds ∂loss/∂θ for a single example into ws.grad and returns
+// that example's loss. The examples themselves are only read.
+func (n *Network) accumulate(e Example, ws *workspace) float64 {
+	n.forward(e.Input)
+	top := ws.acts[len(ws.acts)-1] // trunk output (or raw input when no hidden layers)
+	nt := len(n.trunk)
 
 	var loss float64
 	// dTop accumulates the gradient flowing back into the trunk output from
 	// every head.
-	dTop := make([]float64, len(top))
-	for k, z := range logits {
-		p := mat.Softmax(z, nil)
+	dTop := ws.dTop
+	clear(dTop)
+	for k, z := range ws.logits {
+		p := mat.Softmax(z, z)
 		loss += -math.Log(math.Max(p[e.Targets[k]], 1e-300))
 		// dLogits = p - onehot(target)
-		dz := p // reuse; p is a fresh slice from Softmax
+		dz := p
 		dz[e.Targets[k]] -= 1
-		g.heads[k].W.AddOuterScaled(1, dz, top)
+		g := ws.grad[nt+k]
+		g.W.AddOuterScaled(1, dz, top)
 		for j := range dz {
-			g.heads[k].B[j] += dz[j]
+			g.B[j] += dz[j]
 		}
-		back := n.heads[k].W.MulVecT(dz, nil)
+		back := n.heads[k].W.MulVecT(dz, ws.back)
 		for j := range dTop {
 			dTop[j] += back[j]
 		}
@@ -272,19 +337,20 @@ func (n *Network) accumulate(e Example, g *grads) float64 {
 
 	// Backprop through the ReLU trunk.
 	d := dTop
-	for i := len(n.trunk) - 1; i >= 0; i-- {
-		out := acts[i+1]
+	for i := nt - 1; i >= 0; i-- {
+		out := ws.acts[i+1]
 		for j := range d {
 			if out[j] <= 0 { // ReLU derivative
 				d[j] = 0
 			}
 		}
-		g.trunk[i].W.AddOuterScaled(1, d, acts[i])
+		g := ws.grad[i]
+		g.W.AddOuterScaled(1, d, ws.acts[i])
 		for j := range d {
-			g.trunk[i].B[j] += d[j]
+			g.B[j] += d[j]
 		}
 		if i > 0 {
-			d = n.trunk[i].W.MulVecT(d, nil)
+			d = n.trunk[i].W.MulVecT(d, ws.deltas[i-1])
 		}
 	}
 	return loss
@@ -339,7 +405,9 @@ type TrainStats struct {
 }
 
 // Train fits the network to the examples and reports first/final epoch mean
-// loss. Training is deterministic given the options' seed.
+// loss. Training is deterministic given the options' seed, and each call
+// starts its optimizer state (momentum, Adam moments) from zero. The
+// examples are only read.
 func (n *Network) Train(examples []Example, opts TrainOptions) TrainStats {
 	if len(examples) == 0 {
 		return TrainStats{}
@@ -354,36 +422,39 @@ func (n *Network) Train(examples []Example, opts TrainOptions) TrainStats {
 	if batch <= 0 || batch > len(examples) {
 		batch = len(examples)
 	}
-	g := n.newGrads()
-	var vel, m1, m2 *grads
+	ws := n.trainWorkspace()
 	switch opts.Optimizer {
 	case SGD:
-		vel = n.newGrads()
+		ws.vel = n.zeroed(ws.vel)
 	case Adam:
-		m1, m2 = n.newGrads(), n.newGrads()
+		ws.m1, ws.m2 = n.zeroed(ws.m1), n.zeroed(ws.m2)
 	}
+	if cap(ws.order) < len(examples) {
+		ws.order = make([]int, len(examples))
+	}
+	order := ws.order[:len(examples)]
 	src := rng.New(opts.Seed)
 	stats := TrainStats{Epochs: opts.Epochs}
 	adamStep := 0
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
-		order := src.Perm(len(examples))
+		src.PermInto(order)
 		var epochLoss float64
 		for start := 0; start < len(order); start += batch {
 			end := start + batch
 			if end > len(order) {
 				end = len(order)
 			}
-			g.zero()
+			n.zeroed(ws.grad)
 			for _, idx := range order[start:end] {
-				epochLoss += n.accumulate(examples[idx], g)
+				epochLoss += n.accumulate(examples[idx], ws)
 			}
 			scale := 1.0 / float64(end-start)
 			switch opts.Optimizer {
 			case SGD:
-				n.applySGD(g, vel, scale, opts)
+				n.applySGD(ws, scale, opts)
 			case Adam:
 				adamStep++
-				n.applyAdam(g, m1, m2, scale, adamStep, opts)
+				n.applyAdam(ws, scale, adamStep, opts)
 			}
 		}
 		meanLoss := epochLoss / float64(len(examples))
@@ -395,22 +466,9 @@ func (n *Network) Train(examples []Example, opts TrainOptions) TrainStats {
 	return stats
 }
 
-func (n *Network) layersWithGrads(g *grads) [][2]*linear {
-	var out [][2]*linear
-	for i, l := range n.trunk {
-		out = append(out, [2]*linear{l, g.trunk[i]})
-	}
-	for i, l := range n.heads {
-		out = append(out, [2]*linear{l, g.heads[i]})
-	}
-	return out
-}
-
-func (n *Network) applySGD(g, vel *grads, scale float64, opts TrainOptions) {
-	velLayers := append(append([]*linear{}, vel.trunk...), vel.heads...)
-	for i, pair := range n.layersWithGrads(g) {
-		param, grad := pair[0], pair[1]
-		v := velLayers[i]
+func (n *Network) applySGD(ws *workspace, scale float64, opts TrainOptions) {
+	for i, param := range n.layers {
+		grad, v := ws.grad[i], ws.vel[i]
 		for k := range param.W.Data {
 			dw := grad.W.Data[k]*scale + opts.L2*param.W.Data[k]
 			v.W.Data[k] = opts.Momentum*v.W.Data[k] - opts.LearningRate*dw
@@ -424,7 +482,7 @@ func (n *Network) applySGD(g, vel *grads, scale float64, opts TrainOptions) {
 	}
 }
 
-func (n *Network) applyAdam(g, m1, m2 *grads, scale float64, step int, opts TrainOptions) {
+func (n *Network) applyAdam(ws *workspace, scale float64, step int, opts TrainOptions) {
 	const (
 		beta1 = 0.9
 		beta2 = 0.999
@@ -432,11 +490,8 @@ func (n *Network) applyAdam(g, m1, m2 *grads, scale float64, step int, opts Trai
 	)
 	bc1 := 1 - math.Pow(beta1, float64(step))
 	bc2 := 1 - math.Pow(beta2, float64(step))
-	m1Layers := append(append([]*linear{}, m1.trunk...), m1.heads...)
-	m2Layers := append(append([]*linear{}, m2.trunk...), m2.heads...)
-	for i, pair := range n.layersWithGrads(g) {
-		param, grad := pair[0], pair[1]
-		a, b := m1Layers[i], m2Layers[i]
+	for i, param := range n.layers {
+		grad, a, b := ws.grad[i], ws.m1[i], ws.m2[i]
 		for k := range param.W.Data {
 			dw := grad.W.Data[k]*scale + opts.L2*param.W.Data[k]
 			a.W.Data[k] = beta1*a.W.Data[k] + (1-beta1)*dw
@@ -456,13 +511,14 @@ func (n *Network) applyAdam(g, m1, m2 *grads, scale float64, step int, opts Trai
 // exposes it as flat slices aligned with Parameters(). It exists for
 // gradient-check tests and introspection tooling.
 func (n *Network) Gradients(examples []Example) []float64 {
-	g := n.newGrads()
+	ws := n.trainWorkspace()
+	n.zeroed(ws.grad)
 	for _, e := range examples {
-		n.accumulate(e, g)
+		n.accumulate(e, ws)
 	}
 	scale := 1.0 / float64(len(examples))
-	var flat []float64
-	for _, l := range append(append([]*linear{}, g.trunk...), g.heads...) {
+	flat := make([]float64, 0, n.NumParams())
+	for _, l := range ws.grad {
 		for _, v := range l.W.Data {
 			flat = append(flat, v*scale)
 		}
@@ -476,8 +532,8 @@ func (n *Network) Gradients(examples []Example) []float64 {
 // Parameters returns pointers to every trainable scalar, in a stable order
 // matching Gradients. Mutating the pointed-to values changes the network.
 func (n *Network) Parameters() []*float64 {
-	var out []*float64
-	for _, l := range append(append([]*linear{}, n.trunk...), n.heads...) {
+	out := make([]*float64, 0, n.NumParams())
+	for _, l := range n.layers {
 		for i := range l.W.Data {
 			out = append(out, &l.W.Data[i])
 		}

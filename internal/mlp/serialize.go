@@ -76,7 +76,7 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 	if len(in.Heads) != len(in.Config.Heads) {
 		return fmt.Errorf("mlp: %d head layers for %d heads", len(in.Heads), len(in.Config.Heads))
 	}
-	rebuilt := Network{cfg: in.Config}
+	layers := make([]*linear, 0, len(in.Trunk)+len(in.Heads))
 	prev := in.Config.InputDim
 	for i, lj := range in.Trunk {
 		if lj.Rows != in.Config.Hidden[i] || lj.Cols != prev {
@@ -86,7 +86,7 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 		if err != nil {
 			return err
 		}
-		rebuilt.trunk = append(rebuilt.trunk, l)
+		layers = append(layers, l)
 		prev = lj.Rows
 	}
 	for i, lj := range in.Heads {
@@ -97,8 +97,8 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 		if err != nil {
 			return err
 		}
-		rebuilt.heads = append(rebuilt.heads, l)
+		layers = append(layers, l)
 	}
-	*n = rebuilt
+	*n = *assemble(in.Config, layers)
 	return nil
 }

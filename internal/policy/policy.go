@@ -35,8 +35,14 @@ type Features struct {
 // maxLogTime normalises Φ₄: the paper's horizon is 10⁸ s, so log10(t) ≤ 8.
 const maxLogTime = 8.0
 
-// Vector encodes the features for the network: all components in ≈[0,1].
-func (f Features) Vector() []float64 {
+// FeatureDim is the length of the encoded feature vector.
+const FeatureDim = 4
+
+// AppendVector appends the features' encoding for the network (FeatureDim
+// components, all in ≈[0,1]) to dst and returns the extended slice; with
+// enough capacity in dst it allocates nothing. It panics on invalid
+// features.
+func (f Features) AppendVector(dst []float64) []float64 {
 	if err := f.Validate(); err != nil {
 		panic(fmt.Sprintf("policy: %v", err))
 	}
@@ -51,12 +57,12 @@ func (f Features) Vector() []float64 {
 	if logT > 1.25 {
 		logT = 1.25
 	}
-	return []float64{
+	return append(dst,
 		pos,
 		f.Sparsity,
-		float64(f.KernelSize) / 7.0,
+		float64(f.KernelSize)/7.0,
 		logT,
-	}
+	)
 }
 
 // Validate reports malformed feature values.
@@ -84,9 +90,20 @@ type Config struct {
 }
 
 // Policy is the trainable OU-configuration policy.
+//
+// A Policy is single-owner: it is not safe for concurrent use, not even for
+// Predict, because it encodes features and runs its network in scratch
+// buffers it owns (see mlp.Network), and Train mutates it. Each controller,
+// and so each serving chip, owns its own Policy; use Clone to hand a copy
+// to another goroutine.
 type Policy struct {
 	grid ou.Grid
 	net  *mlp.Network
+
+	in      [FeatureDim]float64 // Predict's encoded features
+	train   []mlp.Example       // Train's converted examples, reused across updates
+	inputs  []float64           // backing store of train[i].Input
+	targets []int               // backing store of train[i].Targets
 
 	// id is a process-unique identity and version counts weight updates.
 	// Together they give memoization layers (internal/decache) a sound
@@ -120,7 +137,7 @@ func New(cfg Config) *Policy {
 		grid: cfg.Grid,
 		id:   policyIDs.Add(1),
 		net: mlp.New(mlp.Config{
-			InputDim: 4,
+			InputDim: FeatureDim,
 			Hidden:   hidden,
 			Heads:    []int{levels, levels},
 			Seed:     cfg.Seed,
@@ -142,14 +159,15 @@ func (p *Policy) Clone() *Policy {
 
 // Predict returns the policy's OU size decision (R_j × C_j) for Φ.
 func (p *Policy) Predict(f Features) ou.Size {
-	cls := p.net.Classify(f.Vector())
+	cls := p.net.Classify(f.AppendVector(p.in[:0]))
 	return p.grid.SizeAt(cls[0], cls[1])
 }
 
 // Probabilities returns the two heads' softmax distributions over the grid
-// levels (R head first).
+// levels (R head first). Both slices are scratch owned by the policy and
+// valid until its next call; copy them to keep them.
 func (p *Policy) Probabilities(f Features) (r, c []float64) {
-	probs := p.net.Predict(f.Vector())
+	probs := p.net.Predict(f.AppendVector(p.in[:0]))
 	return probs[0], probs[1]
 }
 
@@ -178,26 +196,28 @@ type Example struct {
 	Target ou.Size
 }
 
-// toMLP converts an example, validating that the target lies on the grid.
-func (p *Policy) toMLP(e Example) (mlp.Example, error) {
-	r, c, ok := p.grid.IndexOf(e.Target)
-	if !ok {
-		return mlp.Example{}, fmt.Errorf("policy: target %v off the OU grid", e.Target)
-	}
-	return mlp.Example{Input: e.F.Vector(), Targets: []int{r, c}}, nil
-}
-
 // Train runs supervised learning on the examples (Algorithm 1, line 11).
 // The paper trains for 100 epochs per update; opts.Epochs = 0 uses that
-// default.
+// default. It fails, leaving the weights untouched, if a target lies off
+// the grid.
 func (p *Policy) Train(examples []Example, opts mlp.TrainOptions) (mlp.TrainStats, error) {
-	converted := make([]mlp.Example, 0, len(examples))
-	for _, e := range examples {
-		me, err := p.toMLP(e)
-		if err != nil {
-			return mlp.TrainStats{}, err
+	n := len(examples)
+	if cap(p.train) < n {
+		p.train = make([]mlp.Example, n)
+		p.inputs = make([]float64, n*FeatureDim)
+		p.targets = make([]int, n*2)
+	}
+	converted := p.train[:n]
+	for i, e := range examples {
+		r, c, ok := p.grid.IndexOf(e.Target)
+		if !ok {
+			return mlp.TrainStats{}, fmt.Errorf("policy: target %v off the OU grid", e.Target)
 		}
-		converted = append(converted, me)
+		in := p.inputs[i*FeatureDim : (i+1)*FeatureDim]
+		tg := p.targets[i*2 : (i+1)*2]
+		e.F.AppendVector(in[:0])
+		tg[0], tg[1] = r, c
+		converted[i] = mlp.Example{Input: in, Targets: tg}
 	}
 	stats := p.net.Train(converted, opts)
 	p.version++ // weights changed: invalidate memoized predictions

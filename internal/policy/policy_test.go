@@ -20,10 +20,11 @@ func validFeatures(idx int, t float64) Features {
 func TestFeatureVectorNormalisation(t *testing.T) {
 	t.Parallel()
 	f := Features{LayerIndex: 19, LayerCount: 20, Sparsity: 0.6, KernelSize: 7, Time: 1e8}
-	v := f.Vector()
-	if len(v) != 4 {
-		t.Fatalf("vector length %d, want 4", len(v))
+	v := f.AppendVector([]float64{-1})
+	if len(v) != 1+FeatureDim || v[0] != -1 {
+		t.Fatalf("AppendVector(prefix) = %v, want the prefix plus %d features", v, FeatureDim)
 	}
+	v = v[1:]
 	if v[0] != 1 || v[1] != 0.6 || v[2] != 1 {
 		t.Fatalf("unexpected normalisation: %v", v)
 	}
@@ -35,13 +36,13 @@ func TestFeatureVectorNormalisation(t *testing.T) {
 func TestFeatureVectorEdges(t *testing.T) {
 	t.Parallel()
 	f := Features{LayerIndex: 0, LayerCount: 1, Sparsity: 0, KernelSize: 1, Time: 0}
-	v := f.Vector()
+	v := f.AppendVector(nil)
 	if v[0] != 0 || v[3] != 0 {
 		t.Fatalf("single-layer / t=0 encoding wrong: %v", v)
 	}
 	// Time past the horizon clamps.
 	f.Time = 1e20
-	if v := f.Vector(); v[3] > 1.25 {
+	if v := f.AppendVector(nil); v[3] > 1.25 {
 		t.Fatalf("log-time not clamped: %v", v[3])
 	}
 }
@@ -71,10 +72,10 @@ func TestVectorPanicsOnInvalid(t *testing.T) {
 	t.Parallel()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Vector on invalid features did not panic")
+			t.Fatal("AppendVector on invalid features did not panic")
 		}
 	}()
-	Features{LayerCount: 0, KernelSize: 1}.Vector()
+	Features{LayerCount: 0, KernelSize: 1}.AppendVector(nil)
 }
 
 func TestPredictOnGrid(t *testing.T) {

@@ -45,8 +45,8 @@ func (p *Policy) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("policy: network heads %v do not match grid with %d levels",
 			cfg.Heads, in.Grid.Levels())
 	}
-	if cfg.InputDim != 4 {
-		return fmt.Errorf("policy: network expects %d inputs, the OU policy uses 4", cfg.InputDim)
+	if cfg.InputDim != FeatureDim {
+		return fmt.Errorf("policy: network expects %d inputs, the OU policy uses %d", cfg.InputDim, FeatureDim)
 	}
 	p.grid = in.Grid
 	p.net = &net

@@ -118,6 +118,21 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
+func TestPermIntoMatchesPerm(t *testing.T) {
+	t.Parallel()
+	a, b := New(21), New(21)
+	buf := make([]int, 9)
+	for round := 0; round < 5; round++ {
+		want := a.Perm(len(buf))
+		b.PermInto(buf)
+		for i := range want {
+			if buf[i] != want[i] {
+				t.Fatalf("round %d: PermInto %v, Perm %v", round, buf, want)
+			}
+		}
+	}
+}
+
 func TestBernoulliExtremes(t *testing.T) {
 	t.Parallel()
 	s := New(13)
